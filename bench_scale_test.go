@@ -139,8 +139,9 @@ func guardHeap(b *testing.B, peak, ceiling uint64) {
 
 // BenchmarkScale exercises the streaming census and the fully pipelined
 // census→campaign→aggregation run at 100k blocks. Output equivalence
-// with the materialized path is pinned by TestStreamMatchesScanWith and
-// TestPipelineStreamedIdentical; these legs pin the resource envelope.
+// with the one-shot census and the barrier-stage reference is pinned by
+// TestStreamMatchesScanWith and TestPipelineStreamedIdentical; these
+// legs pin the resource envelope.
 func BenchmarkScale(b *testing.B) {
 	w := scaleLab(b)
 	blocks := w.Blocks()

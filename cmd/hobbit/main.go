@@ -57,7 +57,7 @@ func main() {
 		workers  = flag.Int("workers", 0, "measurement workers (0 = GOMAXPROCS)")
 		clWorker = flag.Int("cluster-workers", 0, "post-campaign stage workers: similarity graph, MCL, validation (0 = GOMAXPROCS, 1 = serial; output is identical either way)")
 		cnWorker = flag.Int("census-workers", 0, "census sweep workers (0 = GOMAXPROCS, 1 = serial; output is identical either way)")
-		stream   = flag.Int("stream-chunk", 0, "pipeline census, measurement, and aggregation over chunks of this many /24s (0 = materialized stages; output is identical either way)")
+		stream   = flag.Int("stream-chunk", 0, "census chunk size in /24s; census, measurement, and aggregation are pipelined over the chunks (0 = default chunk of 1024; output is identical at any size)")
 		skipCl   = flag.Bool("skip-clustering", false, "stop after identical-set aggregation")
 		monEp    = flag.Int("monitor-epochs", 0, "after the initial run, advance the fault epoch this many times and re-measure incrementally (continuous-monitoring mode; the summary reports the final epoch)")
 		plan     = flag.String("fault-plan", "", "inject a built-in fault plan into the synthetic world and enable adaptive probing (one of: "+strings.Join(faultplan.BuiltinNames(), ", ")+")")

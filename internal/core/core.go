@@ -3,13 +3,16 @@
 // measurement, identical-set aggregation, MCL clustering of similar
 // blocks, and reprobe validation — over any probing surface.
 //
-// The stages can also be driven individually through the packages they
-// live in (zmap, hobbit, aggregate, cluster); Pipeline wires them together
-// with the paper's defaults. A run is observable through the optional
-// telemetry registry (per-stage spans, probe/ping counters, progress
-// events) and cancellable through its context: Run checks ctx between
-// stages and between blocks inside the measurement campaign, returning
-// the artifacts completed so far alongside ctx.Err().
+// A run has one shape: the census streams in chunks into the
+// measurement campaign, whose in-order results feed aggregation and the
+// incremental clusterer as they land; validation then runs over the
+// complete cluster set. Each stage has one function here — Measure (the
+// census and campaign front end), Aggregator, and ValidateClusters —
+// which Run composes and the monitor package drives incrementally. A run
+// is observable through the optional telemetry registry (per-stage
+// spans, probe/ping counters, progress events) and cancellable through
+// its context, returning the artifacts completed so far alongside
+// ctx.Err().
 package core
 
 import (
@@ -20,7 +23,6 @@ import (
 	"github.com/hobbitscan/hobbit/internal/cluster"
 	"github.com/hobbitscan/hobbit/internal/hobbit"
 	"github.com/hobbitscan/hobbit/internal/iputil"
-	"github.com/hobbitscan/hobbit/internal/parallel"
 	"github.com/hobbitscan/hobbit/internal/probe"
 	"github.com/hobbitscan/hobbit/internal/telemetry"
 	"github.com/hobbitscan/hobbit/internal/zmap"
@@ -53,16 +55,14 @@ type Pipeline struct {
 	// assign exactly as they did when the fields lived on Pipeline
 	// directly; construction sites spell the nested literal.
 	Options
-	// StreamChunk, when > 0, runs the census as a zmap.Stream of
-	// StreamChunk-block chunks and pipelines it against the measurement
-	// campaign and incremental aggregation, instead of materializing
-	// each stage before the next begins. It is an execution strategy
-	// like the worker counts, not behaviour: every artifact and counter
-	// is byte-identical to a materialized run (DESIGN.md §4d), which is
-	// why it lives on Pipeline next to the other local resource-shaping
-	// fields rather than in the serializable Options. Use it when the
-	// block universe is large enough (100k+) that holding the full
-	// census and campaign intermediates would dominate memory.
+	// StreamChunk is the number of /24s per census chunk (0 = 1024, the
+	// zmap.StreamOptions default). Census chunks feed the measurement
+	// campaign as they complete, so the chunk size and the stream window
+	// bound the census memory. It is an execution strategy like the
+	// worker counts, not behaviour: every artifact and counter is
+	// byte-identical at any chunk size (DESIGN.md §4d), which is why it
+	// lives on Pipeline next to the other local resource-shaping fields
+	// rather than in the serializable Options.
 	StreamChunk int
 	// ResultSink, when non-nil, receives every per-/24 measurement result
 	// in campaign order as soon as it is final — before clustering and
@@ -117,19 +117,6 @@ func (p *Pipeline) minActive() int {
 	return 4
 }
 
-// MinActiveOrDefault resolves the census eligibility threshold exactly
-// as Run does (0 means the paper's default of 4). The monitor replays
-// the census selection epoch over epoch and must agree with Run on it.
-func (p *Pipeline) MinActiveOrDefault() int { return p.minActive() }
-
-// Measurer builds the same per-block Measurer a Run would use —
-// exhaustive=false for the measurement campaign, exhaustive=true for
-// reprobe validation — so incremental drivers measure byte-identically
-// to a from-scratch run.
-func (p *Pipeline) Measurer(exhaustive bool) *hobbit.Measurer {
-	return p.newMeasurer(exhaustive)
-}
-
 // newMeasurer builds the per-block Measurer shared by the measurement
 // campaign (exhaustive=false) and the Section 6.5 reprobe validation
 // (exhaustive=true), so every option — probing surface, MDA tuning,
@@ -145,6 +132,22 @@ func (p *Pipeline) newMeasurer(exhaustive bool) *hobbit.Measurer {
 	}
 }
 
+// Campaign builds the measurement campaign a run uses over ds, with
+// progress events and probes attributed to stage. Incremental drivers
+// reprobe through it, so their measurements are byte-identical to a
+// from-scratch run's.
+func (p *Pipeline) Campaign(stage string, ds *zmap.Dataset) *hobbit.Campaign {
+	p.setStage(stage)
+	return &hobbit.Campaign{
+		Measurer:  p.newMeasurer(false),
+		Dataset:   ds,
+		Workers:   p.Workers,
+		Telemetry: p.Telemetry,
+		Progress:  p.Progress,
+		Stage:     stage,
+	}
+}
+
 // setStage attributes subsequent probes on the probing surface to the
 // named stage, when the surface supports attribution.
 func (p *Pipeline) setStage(stage string) {
@@ -153,118 +156,49 @@ func (p *Pipeline) setStage(stage string) {
 	}
 }
 
-// Run executes the pipeline. It checks ctx between stages (and, inside
-// the measurement campaign, between blocks): on cancellation it returns
-// the Output artifacts completed so far together with ctx.Err(), so a
-// partial run remains inspectable.
-func (p *Pipeline) Run(ctx context.Context) (*Output, error) {
+// Check reports whether the pipeline can run: it needs a probing
+// surface, a scanner, a non-empty universe, valid Options, and a valid
+// StreamChunk. Run and incremental drivers call it before any stage.
+func (p *Pipeline) Check() error {
 	if p.Net == nil || p.Scanner == nil {
-		return nil, errors.New("core: Pipeline needs Net and Scanner")
+		return errors.New("core: Pipeline needs Net and Scanner")
 	}
 	if len(p.Blocks) == 0 {
-		return nil, errors.New("core: no blocks to measure")
+		return errors.New("core: no blocks to measure")
 	}
 	if err := p.Options.Validate(); err != nil {
+		return err
+	}
+	return ValidateStreamChunk(p.StreamChunk)
+}
+
+// Run executes the pipeline. The census, measurement, aggregation, and
+// clustering stages run pipelined (Measure); validation then runs over
+// the complete cluster set. Run checks ctx throughout: on cancellation
+// it returns the Output artifacts completed so far together with
+// ctx.Err(), so a partial run remains inspectable.
+func (p *Pipeline) Run(ctx context.Context) (*Output, error) {
+	if err := p.Check(); err != nil {
 		return nil, err
 	}
-	if err := ValidateStreamChunk(p.StreamChunk); err != nil {
-		return nil, err
-	}
-	if p.StreamChunk > 0 {
-		return p.runStreamed(ctx)
-	}
-	reg := p.Telemetry
-	out := &Output{}
-
-	span := reg.StartSpan(StageCensus)
-	out.Dataset = zmap.ScanWith(p.Scanner, p.Blocks, zmap.ScanOptions{Workers: p.CensusWorkers, Telemetry: reg})
-	out.Eligible = out.Dataset.EligibleBlocks(p.Blocks, p.minActive())
-	reg.Counter("census.eligible_blocks").Add(int64(len(out.Eligible)))
-	span.End()
-	if err := ctx.Err(); err != nil {
-		return out, err
-	}
-
-	span = reg.StartSpan(StageMeasure)
-	p.setStage(StageMeasure)
-	campaign := &hobbit.Campaign{
-		Measurer:  p.newMeasurer(false),
-		Dataset:   out.Dataset,
-		Workers:   p.Workers,
-		Telemetry: reg,
-		Progress:  p.Progress,
-		Stage:     StageMeasure,
-	}
-	res, err := campaign.Run(ctx, out.Eligible)
-	out.Campaign = res
-	span.End()
-	if p.ResultSink != nil && res != nil {
-		for _, b := range res.Order {
-			p.ResultSink(res.Blocks[b])
-		}
-	}
-	if err != nil {
-		return out, err
-	}
-
-	span = reg.StartSpan(StageAggregate)
-	homogeneous := out.Campaign.HomogeneousBlocks()
-	// One interner backs both the aggregation and the post-validation
-	// merge, so every block that shares a last-hop set — before and after
-	// cluster merging — shares one canonical slice.
-	interner := aggregate.NewInterner()
-	builder := aggregate.NewBuilder(interner)
+	// The clustering stage streams too: every aggregate delta flows into
+	// the incremental graph on the spot, and components that go quiet are
+	// sealed and dispatched onto the MCL pool while the campaign is still
+	// probing (DESIGN.md §4i).
 	str := p.clusterStream()
-	homogeneousIn := 0
-	// Graceful degradation: verdicts that rest on budget-exhausted
-	// measurements stay in the campaign result for reporting but are
-	// kept out of aggregation, so one faulted window cannot poison a
-	// multi-/24 aggregate. The loop preserves campaign order, so the
-	// exclusion list — like every other artifact — is byte-identical
-	// across worker counts, and the streaming clusterer observes the
-	// exact aggregate-delta sequence the pipelined path feeds it (same
-	// logical clock, so its seal counters match too).
-	for _, br := range homogeneous {
-		if br.LowConfidence() {
-			out.LowConfidence = append(out.LowConfidence, br.Block)
-			continue
+	agg := p.NewAggregator(str)
+	out, err := p.Measure(ctx, StageMeasure, func(br *hobbit.BlockResult) {
+		if p.ResultSink != nil {
+			p.ResultSink(br)
 		}
-		homogeneousIn++
-		blk, isNew := builder.Add(br)
-		if str != nil && blk != nil {
-			str.Observe(blk, isNew)
-		}
+		agg.Add(br)
+	})
+	if err != nil {
+		agg.Abort()
+		str.Abort()
+		return out, err
 	}
-	out.Aggregates = builder.Finish()
-	reg.Counter("aggregate.homogeneous_in").Add(int64(homogeneousIn))
-	reg.Counter("aggregate.low_confidence_excluded").Add(int64(len(out.LowConfidence)))
-	reg.Counter("aggregate.blocks_out").Add(int64(len(out.Aggregates)))
-	span.End()
-	return p.finishRun(ctx, out, interner, str)
-}
-
-// clusterStream starts the incremental clustering stage — nil when the
-// run skips clustering. Both run shapes create it before their
-// aggregation loop and feed it one Observe per kept homogeneous result,
-// so graph construction and per-component MCL overlap whatever stage is
-// still producing aggregates.
-func (p *Pipeline) clusterStream() *cluster.Streamer {
-	if p.SkipClustering {
-		return nil
-	}
-	pipe := &cluster.Pipeline{Seed: p.Seed, Workers: p.ClusterWorkers, Telemetry: p.Telemetry}
-	return pipe.Stream()
-}
-
-// finishRun executes the barrier-synchronized tail every run shape
-// shares — the parameter-sweep merge and reprobe validation need the
-// complete aggregate set, so the streamed and materialized paths
-// converge here. str is the incremental clustering stage both paths fed
-// during aggregation (nil when SkipClustering); Finish joins its worker
-// pool, runs MCL on whatever components were not sealed early, and
-// merges the inflation sweep.
-func (p *Pipeline) finishRun(ctx context.Context, out *Output, interner *aggregate.Interner, str *cluster.Streamer) (*Output, error) {
-	reg := p.Telemetry
+	agg.Finish(out)
 	if p.SkipClustering {
 		out.Final = out.Aggregates
 		return out, ctx.Err()
@@ -274,73 +208,23 @@ func (p *Pipeline) finishRun(ctx context.Context, out *Output, interner *aggrega
 		return out, err
 	}
 
-	span := reg.StartSpan(StageCluster)
+	// Finish joins the clusterer's worker pool, runs MCL on whatever
+	// components were not sealed early, and merges the inflation sweep.
+	span := p.Telemetry.StartSpan(StageCluster)
 	out.Clustering = str.Finish()
 	span.End()
 	if err := ctx.Err(); err != nil {
 		return out, err
 	}
-
-	span = reg.StartSpan(StageValidate)
-	defer span.End()
-	p.setStage(StageValidate)
-	rp := &exhaustiveReprober{m: p.newMeasurer(true), ds: out.Dataset}
-	pairsChecked := reg.Counter("validate.pairs_checked")
-	identicalPairs := reg.Counter("validate.identical_pairs")
-	reprobed := reg.Counter("validate.blocks_reprobed")
-	accepted := reg.Counter("validate.clusters_validated")
-	// Clusters validate independently (each owns its member /24s, and
-	// reprobe randomness is keyed by cluster ID), so they fan out over
-	// the pool; the measurer and probing surface are the same
-	// concurrency-safe objects the measurement campaign already shares
-	// across workers. Results land in per-cluster slots and merge below
-	// in cluster-ID order, so counters and maps tally identically whether
-	// the run was serial or sharded.
-	clusters := out.Clustering.Clusters
-	vals := make([]cluster.Validation, len(clusters))
-	done := make([]bool, len(clusters))
-	pool := parallel.Pool{Workers: p.ClusterWorkers, Telemetry: reg, Stage: StageValidate}
-	perr := pool.ForEach(ctx, len(clusters), func(i int) {
-		vals[i] = cluster.Validate(clusters[i], rp, p.ValidatePairs, p.Seed)
-		done[i] = true
-	})
-	out.Validations = make(map[int]cluster.Validation, len(clusters))
-	validated := make(map[int]bool)
-	for i, c := range clusters {
-		if !done[i] {
-			continue
-		}
-		v := vals[i]
-		out.Validations[c.ID] = v
-		pairsChecked.Add(int64(v.PairsChecked))
-		identicalPairs.Add(int64(v.IdenticalPairs))
-		reprobed.Add(int64(v.Reprobed))
-		if v.Passes() {
-			validated[c.ID] = true
-			accepted.Inc()
-		}
-	}
-	out.Validated = validated
-	if perr != nil {
-		// Cancelled mid-validation: the merged prefix stays inspectable,
-		// but no final block list is produced.
-		return out, perr
-	}
-	out.Final = cluster.ApplyValidatedInterned(out.Clustering, validated, interner)
-	reg.Counter("validate.final_blocks").Add(int64(len(out.Final)))
-	return out, nil
+	return out, p.ValidateClusters(ctx, StageValidate, out, agg.Interner(), ValidateHooks{})
 }
 
-// exhaustiveReprober adapts the Section 6.5 modified probing strategy to
-// the cluster.Reprober interface.
-type exhaustiveReprober struct {
-	m  *hobbit.Measurer
-	ds *zmap.Dataset
-}
-
-// Reprobe measures the block exhaustively and returns its observed
-// last-hop set (nil when the block no longer answers usefully).
-func (r *exhaustiveReprober) Reprobe(b iputil.Block24) []iputil.Addr {
-	br := r.m.MeasureBlock(b, r.ds.ActivesBy26(b))
-	return br.LastHops
+// clusterStream starts the incremental clustering stage — nil when the
+// run skips clustering.
+func (p *Pipeline) clusterStream() *cluster.Streamer {
+	if p.SkipClustering {
+		return nil
+	}
+	pipe := &cluster.Pipeline{Seed: p.Seed, Workers: p.ClusterWorkers, Telemetry: p.Telemetry}
+	return pipe.Stream()
 }

@@ -88,16 +88,17 @@ func (o Options) Validate() error {
 // MaxStreamChunk bounds Pipeline.StreamChunk. The cap is a sanity rail,
 // not a tuning knob: one chunk of 2^20 /24s already covers the full
 // routable IPv4 space, so anything larger is a unit mistake (bytes,
-// addresses) that would silently degenerate into a materialized run
-// with one giant buffer.
+// addresses) that would silently degenerate into one giant census
+// buffer.
 const MaxStreamChunk = 1 << 20
 
 // ValidateStreamChunk rejects StreamChunk values the pipeline would
-// misread: negative chunks (the caller probably wanted 0 = materialized)
-// and chunks beyond MaxStreamChunk. 0 is valid and disables streaming.
+// misread: negative chunks (the caller probably wanted 0, the default
+// chunk) and chunks beyond MaxStreamChunk. 0 is valid and selects the
+// default 1024-block chunk.
 func ValidateStreamChunk(n int) error {
 	if n < 0 {
-		return fmt.Errorf("core: stream chunk must be >= 0 (0 = materialized run), got %d", n)
+		return fmt.Errorf("core: stream chunk must be >= 0 (0 = default chunk of 1024), got %d", n)
 	}
 	if n > MaxStreamChunk {
 		return fmt.Errorf("core: stream chunk %d exceeds max %d (one chunk already spans the IPv4 /24 space)", n, MaxStreamChunk)

@@ -46,8 +46,9 @@ func TestOptionsValidate(t *testing.T) {
 	}
 }
 
-// TestValidateStreamChunk pins the StreamChunk guard rails: 0 disables
-// streaming, anything up to one full /24-space chunk streams, negatives
+// TestValidateStreamChunk pins the StreamChunk guard rails: 0 selects
+// the default chunk, anything up to one full /24-space chunk is a valid
+// chunk size, negatives
 // and unit-mistake sizes fail with an error naming the value.
 func TestValidateStreamChunk(t *testing.T) {
 	cases := []struct {

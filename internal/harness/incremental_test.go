@@ -10,8 +10,8 @@ import (
 // chunk must produce epoch-by-epoch byte-identical Outputs between the
 // incremental monitor and a from-scratch run. Workers exercise the
 // monitor's internal concurrency; the stream chunk exercises the
-// reference's execution shapes (materialized chunk=0 equivalence is
-// already covered by the streaming tests).
+// reference's census chunking (the monitor's own bootstrap runs at the
+// default chunk).
 func TestCheckIncrementalMatrix(t *testing.T) {
 	plans := []string{"baseline", "flap", "blackhole", "rate-storm"}
 	for _, plan := range plans {

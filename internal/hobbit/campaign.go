@@ -2,7 +2,6 @@ package hobbit
 
 import (
 	"context"
-	"runtime"
 	"sync"
 
 	"github.com/hobbitscan/hobbit/internal/iputil"
@@ -130,84 +129,43 @@ func (c *Campaign) stage() string {
 	return "measure"
 }
 
-// Run measures the given blocks (typically Dataset.EligibleBlocks),
-// checking ctx between blocks: on cancellation it stops handing out work,
-// drains the in-flight blocks, and returns the partial Result together
-// with ctx.Err(). A nil error means every block was measured.
-func (c *Campaign) Run(ctx context.Context, blocks []iputil.Block24) (*Result, error) {
-	workers := c.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+// record tallies one measured block into the campaign counters.
+func (m campaignMetrics) record(br *BlockResult) {
+	m.measured.Inc()
+	m.classes[br.Class].Inc()
+	m.probed.Observe(int64(br.Probed))
+	m.responded.Observe(int64(br.Responded))
+	if br.Degraded > 0 {
+		m.degraded.Inc()
 	}
-	res := &Result{
-		Blocks: make(map[iputil.Block24]*BlockResult, len(blocks)),
-		Order:  append([]iputil.Block24(nil), blocks...),
+	if br.LowConfidence() {
+		m.lowConf.Inc()
 	}
-	met := c.metrics()
-	load, _ := c.Measurer.Net.(loadReporter)
+}
 
-	type item struct {
-		b  iputil.Block24
-		br *BlockResult
-	}
-	in := make(chan iputil.Block24)
-	out := make(chan item)
+// Run measures the given blocks (typically Dataset.EligibleBlocks): a
+// feeder hands them, with their Dataset actives, to RunStream, so the
+// Result lists the blocks in input order. Progress events report
+// len(blocks) as the total from the first block on. Run checks ctx
+// between blocks: on cancellation it stops handing out work, drains the
+// in-flight blocks, and returns the partial Result together with
+// ctx.Err(). A nil error means every block was measured.
+func (c *Campaign) Run(ctx context.Context, blocks []iputil.Block24) (*Result, error) {
+	feed := make(chan FeedItem)
 	var wg sync.WaitGroup
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for b := range in {
-				br := c.Measurer.MeasureBlock(b, c.Dataset.ActivesBy26(b))
-				met.measured.Inc()
-				met.classes[br.Class].Inc()
-				met.probed.Observe(int64(br.Probed))
-				met.responded.Observe(int64(br.Responded))
-				if br.Degraded > 0 {
-					met.degraded.Inc()
-				}
-				if br.LowConfidence() {
-					met.lowConf.Inc()
-				}
-				out <- item{b: b, br: &br}
-			}
-		}()
-	}
+	wg.Add(1)
 	go func() {
-		defer func() {
-			close(in)
-			wg.Wait()
-			close(out)
-		}()
+		defer wg.Done()
+		defer close(feed)
 		for _, b := range blocks {
 			select {
-			case in <- b:
+			case feed <- FeedItem{Block: b, By26: c.Dataset.ActivesBy26(b)}:
 			case <-ctx.Done():
 				return
 			}
 		}
 	}()
-
-	var classes map[string]int
-	if c.Progress != nil {
-		classes = make(map[string]int)
-	}
-	for it := range out {
-		res.Blocks[it.b] = it.br
-		if c.Progress != nil {
-			classes[it.br.Class.String()]++
-			ev := telemetry.ProgressEvent{
-				Stage:   c.stage(),
-				Done:    len(res.Blocks),
-				Total:   len(blocks),
-				Classes: classes,
-			}
-			if load != nil {
-				ev.Pings = load.Pings()
-				ev.Probes = load.Probes()
-			}
-			c.Progress.Emit(ev)
-		}
-	}
-	return res, ctx.Err()
+	res, err := c.runStream(ctx, feed, len(blocks), nil)
+	wg.Wait()
+	return res, err
 }

@@ -20,13 +20,12 @@ type FeedItem struct {
 }
 
 // RunStream measures blocks as a feeder produces them, instead of taking
-// the full block list up front the way Run does. Workers drain feed
-// through a bounded handout window; results are re-sequenced so that the
-// sink — and the Result's Order — observe them strictly in feed order,
-// no matter how the workers interleaved. A campaign fed the blocks Run
-// would have been given therefore produces Run's exact Result, and a
-// sink consuming results incrementally (the pipeline's aggregation
-// builder) sees them in the order the materialized path iterates them
+// the full block list up front. Workers drain feed through a bounded
+// handout window; results are re-sequenced so that the sink — and the
+// Result's Order — observe them strictly in feed order, no matter how
+// the workers interleaved. A sink consuming results incrementally (the
+// pipeline's aggregation stage) therefore sees exactly the sequence a
+// serial loop over the fed blocks would produce
 // (TestRunStreamMatchesRun pins this).
 //
 // The re-sequencing window is bounded: a worker may hold at most one
@@ -34,15 +33,27 @@ type FeedItem struct {
 // the emitted prefix, so a single slow block stalls the feeder rather
 // than buffering the campaign.
 //
+// Progress events report Total 0 while the feed is open, because the
+// number of blocks is not known until it closes; once it has closed they
+// report the final count, and the last event of a completed campaign
+// always reads Done == Total.
+//
 // sink may be nil. On cancellation RunStream stops consuming the feed,
 // drains in-flight blocks, and returns the emitted prefix together with
 // ctx.Err(); Order then lists only the emitted blocks.
 func (c *Campaign) RunStream(ctx context.Context, feed <-chan FeedItem, sink func(*BlockResult)) (*Result, error) {
+	return c.runStream(ctx, feed, 0, sink)
+}
+
+// runStream is RunStream with the block count known up front when total
+// is > 0 (Run's list feeder), so progress events carry it from the
+// first block on.
+func (c *Campaign) runStream(ctx context.Context, feed <-chan FeedItem, total int, sink func(*BlockResult)) (*Result, error) {
 	workers := c.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	res := &Result{Blocks: make(map[iputil.Block24]*BlockResult)}
+	res := &Result{Blocks: make(map[iputil.Block24]*BlockResult, total)}
 	met := c.metrics()
 	load, _ := c.Measurer.Net.(loadReporter)
 
@@ -60,7 +71,9 @@ func (c *Campaign) RunStream(ctx context.Context, feed <-chan FeedItem, sink fun
 	gate := make(chan struct{}, 4*workers)
 	in := make(chan job)
 	out := make(chan item)
+	// fed is the block count once the feed has closed (0 before).
 	var fed atomic.Int64
+	fed.Store(int64(total))
 	var wg sync.WaitGroup
 	wg.Add(workers)
 	for i := 0; i < workers; i++ {
@@ -68,16 +81,7 @@ func (c *Campaign) RunStream(ctx context.Context, feed <-chan FeedItem, sink fun
 			defer wg.Done()
 			for j := range in {
 				br := c.Measurer.MeasureBlock(j.it.Block, j.it.By26)
-				met.measured.Inc()
-				met.classes[br.Class].Inc()
-				met.probed.Observe(int64(br.Probed))
-				met.responded.Observe(int64(br.Responded))
-				if br.Degraded > 0 {
-					met.degraded.Inc()
-				}
-				if br.LowConfidence() {
-					met.lowConf.Inc()
-				}
+				met.record(&br)
 				out <- item{seq: j.seq, br: &br}
 			}
 		}()
@@ -95,9 +99,16 @@ func (c *Campaign) RunStream(ctx context.Context, feed <-chan FeedItem, sink fun
 			select {
 			case it, ok = <-feed:
 				if !ok {
+					fed.Store(int64(seq))
 					return
 				}
 			case <-ctx.Done():
+				return
+			}
+			// select picks among ready cases at random, so a ready item
+			// can win over an already-cancelled context: check it here so
+			// nothing is handed out once cancellation is visible.
+			if ctx.Err() != nil {
 				return
 			}
 			select {
@@ -105,7 +116,6 @@ func (c *Campaign) RunStream(ctx context.Context, feed <-chan FeedItem, sink fun
 			case <-ctx.Done():
 				return
 			}
-			fed.Add(1)
 			select {
 			case in <- job{seq: seq, it: it}:
 			case <-ctx.Done():
@@ -119,8 +129,21 @@ func (c *Campaign) RunStream(ctx context.Context, feed <-chan FeedItem, sink fun
 	if c.Progress != nil {
 		classes = make(map[string]int)
 	}
+	emit := func(done, total int) {
+		ev := telemetry.ProgressEvent{
+			Stage:   c.stage(),
+			Done:    done,
+			Total:   total,
+			Classes: classes,
+		}
+		if load != nil {
+			ev.Pings = load.Pings()
+			ev.Probes = load.Probes()
+		}
+		c.Progress.Emit(ev)
+	}
 	pending := make(map[int]*BlockResult)
-	next := 0
+	next, lastTotal := 0, 0
 	for it := range out {
 		pending[it.seq] = it.br
 		// Drain the contiguous prefix: bounded by len(pending), which the
@@ -142,18 +165,18 @@ func (c *Campaign) RunStream(ctx context.Context, feed <-chan FeedItem, sink fun
 			}
 			if c.Progress != nil {
 				classes[br.Class.String()]++
-				ev := telemetry.ProgressEvent{
-					Stage:   c.stage(),
-					Done:    next,
-					Total:   int(fed.Load()),
-					Classes: classes,
-				}
-				if load != nil {
-					ev.Pings = load.Pings()
-					ev.Probes = load.Probes()
-				}
-				c.Progress.Emit(ev)
+				lastTotal = int(fed.Load())
+				emit(next, lastTotal)
 			}
+		}
+	}
+	// The feed may close only after the last result was emitted (its
+	// producer can still be filtering blocks it does not forward), so the
+	// closing event may not have carried the total yet: repeat it once
+	// the count is known, so a completed stream always ends on N/N.
+	if c.Progress != nil && next > 0 && lastTotal != next {
+		if total := int(fed.Load()); total == next {
+			emit(next, total)
 		}
 	}
 	return res, ctx.Err()

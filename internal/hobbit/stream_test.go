@@ -23,54 +23,56 @@ func feedBlocks(c *Campaign, blocks []iputil.Block24) <-chan FeedItem {
 }
 
 // TestRunStreamMatchesRun pins the streaming campaign's half of the
-// determinism contract: fed the same blocks Run is given, RunStream must
-// produce Run's exact Result — same verdicts, same Order — with the sink
-// observing results strictly in feed order, at any worker count.
+// determinism contract against a serial reference written here: a plain
+// MeasureBlock loop over the same blocks, tallying the same counters.
+// RunStream at 8 workers must produce that loop's exact Result — same
+// verdicts, same Order — with the sink observing results strictly in
+// feed order, and an identical telemetry state.
 func TestRunStreamMatchesRun(t *testing.T) {
 	_, c, eligible := campaignWorld(t, 300)
 	if len(eligible) < 40 {
 		t.Fatalf("only %d eligible blocks", len(eligible))
 	}
 	regWant := telemetry.NewRegistry()
-	c.Workers, c.Telemetry = 4, regWant
-	want, err := c.Run(context.Background(), eligible)
-	if err != nil {
-		t.Fatal(err)
+	met := (&Campaign{Telemetry: regWant}).metrics()
+	want := &Result{Blocks: make(map[iputil.Block24]*BlockResult)}
+	for _, b := range eligible {
+		br := c.Measurer.MeasureBlock(b, c.Dataset.ActivesBy26(b))
+		met.record(&br)
+		want.Blocks[b] = &br
+		want.Order = append(want.Order, b)
 	}
 	snapWant := regWant.Snapshot()
 
-	for _, workers := range []int{1, 8} {
-		reg := telemetry.NewRegistry()
-		c.Workers, c.Telemetry = workers, reg
-		var sunk []iputil.Block24
-		got, err := c.RunStream(context.Background(), feedBlocks(c, eligible), func(br *BlockResult) {
-			sunk = append(sunk, br.Block)
-		})
-		if err != nil {
-			t.Fatal(err)
+	reg := telemetry.NewRegistry()
+	c.Workers, c.Telemetry = 8, reg
+	var sunk []iputil.Block24
+	got, err := c.RunStream(context.Background(), feedBlocks(c, eligible), func(br *BlockResult) {
+		sunk = append(sunk, br.Block)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got.Order, want.Order) {
+		t.Fatal("Order differs from the serial loop")
+	}
+	if !reflect.DeepEqual(sunk, eligible) {
+		t.Fatal("sink did not observe results in feed order")
+	}
+	if len(got.Blocks) != len(want.Blocks) {
+		t.Fatalf("%d blocks, want %d", len(got.Blocks), len(want.Blocks))
+	}
+	for b, br := range want.Blocks {
+		if !reflect.DeepEqual(got.Blocks[b], br) {
+			t.Fatalf("block %v result differs", b)
 		}
-		if !reflect.DeepEqual(got.Order, want.Order) {
-			t.Fatalf("workers=%d: Order differs from Run", workers)
-		}
-		if !reflect.DeepEqual(sunk, eligible) {
-			t.Fatalf("workers=%d: sink did not observe results in feed order", workers)
-		}
-		if len(got.Blocks) != len(want.Blocks) {
-			t.Fatalf("workers=%d: %d blocks, want %d", workers, len(got.Blocks), len(want.Blocks))
-		}
-		for b, br := range want.Blocks {
-			if !reflect.DeepEqual(got.Blocks[b], br) {
-				t.Fatalf("workers=%d: block %v result differs", workers, b)
-			}
-		}
-		snap := reg.Snapshot()
-		if !reflect.DeepEqual(snap.Counters, snapWant.Counters) {
-			t.Errorf("workers=%d: counters differ:\nstream: %v\nrun:    %v",
-				workers, snap.Counters, snapWant.Counters)
-		}
-		if !reflect.DeepEqual(snap.Histograms, snapWant.Histograms) {
-			t.Errorf("workers=%d: histograms differ", workers)
-		}
+	}
+	snap := reg.Snapshot()
+	if !reflect.DeepEqual(snap.Counters, snapWant.Counters) {
+		t.Errorf("counters differ:\nstream: %v\nserial: %v", snap.Counters, snapWant.Counters)
+	}
+	if !reflect.DeepEqual(snap.Histograms, snapWant.Histograms) {
+		t.Error("histograms differ")
 	}
 }
 

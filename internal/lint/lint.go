@@ -182,7 +182,6 @@ func Suite() []*Analyzer {
 		AnalyzerWallclock,
 		AnalyzerCtxLoop,
 		AnalyzerTelemetryNames,
-		AnalyzerMutexCopy,
 		AnalyzerGoroutineLeak,
 		AnalyzerHotpathAlloc,
 		AnalyzerLockDiscipline,

@@ -73,7 +73,7 @@ func TestFixtures(t *testing.T) {
 func TestSuiteNames(t *testing.T) {
 	want := []string{
 		"nondeterm-rand", "nondeterm-maprange", "wallclock",
-		"ctx-loop", "telemetry-names", "mutex-copy", "goroutine-leak",
+		"ctx-loop", "telemetry-names", "goroutine-leak",
 		"hotpath-alloc", "lock-discipline", "ctx-propagation",
 		"api-compat",
 	}

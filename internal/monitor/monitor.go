@@ -29,7 +29,6 @@ import (
 	"github.com/hobbitscan/hobbit/internal/hobbit"
 	"github.com/hobbitscan/hobbit/internal/iputil"
 	"github.com/hobbitscan/hobbit/internal/netsim"
-	"github.com/hobbitscan/hobbit/internal/parallel"
 	"github.com/hobbitscan/hobbit/internal/zmap"
 )
 
@@ -99,8 +98,8 @@ type valEntry struct {
 // proportional to the churned blocks. End with Close.
 type Monitor struct {
 	// Pipeline supplies the probing surface, universe, seed, and run
-	// options. The monitor never calls its Run; it drives the same
-	// stage building blocks incrementally.
+	// options. The monitor never calls its Run; it drives Run's stage
+	// functions (Measure, Aggregator, ValidateClusters) incrementally.
 	Pipeline *core.Pipeline
 	// Source feeds epochs and change sets.
 	Source Source
@@ -131,88 +130,25 @@ func (m *Monitor) Step(ctx context.Context) (*EpochReport, error) {
 	if p == nil || m.Source == nil {
 		return nil, errors.New("monitor: Monitor needs Pipeline and Source")
 	}
-	if p.Net == nil || p.Scanner == nil {
-		return nil, errors.New("monitor: Pipeline needs Net and Scanner")
-	}
-	if len(p.Blocks) == 0 {
-		return nil, errors.New("monitor: no blocks to monitor")
-	}
-	if err := p.Options.Validate(); err != nil {
+	if err := p.Check(); err != nil {
 		return nil, err
 	}
-	reg := p.Telemetry
 	e := m.epoch
 	m.Source.Advance(e)
 	rep := &EpochReport{Epoch: e}
-	var reprobe []iputil.Block24
-
+	var err error
 	if m.results == nil {
-		// Bootstrap census: the census ignores fault state, so one sweep
-		// serves every epoch — the universe and eligibility never move.
-		span := reg.StartSpan(core.StageCensus)
-		m.ds = zmap.ScanWith(p.Scanner, p.Blocks, zmap.ScanOptions{Workers: p.CensusWorkers, Telemetry: reg})
-		m.eligible = m.ds.EligibleBlocks(p.Blocks, p.MinActiveOrDefault())
-		reg.Counter("census.eligible_blocks").Add(int64(len(m.eligible)))
-		span.End()
-		m.results = make(map[iputil.Block24]*hobbit.BlockResult, len(m.eligible))
-		if !p.SkipClustering {
-			m.roll = (&cluster.Pipeline{Seed: p.Seed, Workers: p.ClusterWorkers, Telemetry: reg}).Rolling()
-		}
-		m.vals = make(map[string]valEntry)
-		m.lastHops = make(map[iputil.Block24][]iputil.Addr)
-		rep.All = true
-		reprobe = m.eligible
+		err = m.bootstrap(ctx, rep)
 	} else {
-		changed, all := m.Source.Changed(e-1, e)
-		rep.All = all
-		rep.Changed = len(changed)
-		if all {
-			rep.Changed = len(p.Blocks)
-			reprobe = m.eligible
-		} else {
-			// Intersect with the eligible list in eligible order, so the
-			// sub-campaign is a strict subsequence of the from-scratch one.
-			changedSet := make(map[iputil.Block24]bool, len(changed))
-			for _, b := range changed {
-				changedSet[b] = true
-			}
-			for _, b := range m.eligible {
-				if changedSet[b] {
-					reprobe = append(reprobe, b)
-				}
-			}
-		}
-		m.dropStaleValidations(changed, all)
-	}
-	if err := ctx.Err(); err != nil {
-		return rep, err
-	}
-
-	rep.Reprobed = len(reprobe)
-	reg.Counter("monitor.epochs").Inc()
-	reg.Counter("monitor.changed_blocks").Add(int64(rep.Changed))
-	reg.Counter("monitor.reprobed_blocks").Add(int64(rep.Reprobed))
-
-	span := reg.StartSpan(StageReprobe)
-	m.setStage(StageReprobe)
-	campaign := &hobbit.Campaign{
-		Measurer:  p.Measurer(false),
-		Dataset:   m.ds,
-		Workers:   p.Workers,
-		Telemetry: reg,
-		Progress:  p.Progress,
-		Stage:     StageReprobe,
-	}
-	res, err := campaign.Run(ctx, reprobe)
-	span.End()
-	if res != nil {
-		for b, br := range res.Blocks {
-			m.results[b] = br
-		}
+		err = m.reprobe(ctx, rep)
 	}
 	if err != nil {
 		return rep, err
 	}
+	reg := p.Telemetry
+	reg.Counter("monitor.epochs").Inc()
+	reg.Counter("monitor.changed_blocks").Add(int64(rep.Changed))
+	reg.Counter("monitor.reprobed_blocks").Add(int64(rep.Reprobed))
 
 	out, err := m.assemble(ctx, rep)
 	rep.Output = out
@@ -228,6 +164,76 @@ func (m *Monitor) Step(ctx context.Context) (*EpochReport, error) {
 	return rep, nil
 }
 
+// bootstrap runs the front end of a from-scratch run — census plus a
+// campaign over every eligible block — and sets up the caches. The
+// census ignores fault state, so its one sweep serves every epoch: the
+// universe and eligibility never move. A cancelled bootstrap leaves the
+// monitor unbootstrapped.
+func (m *Monitor) bootstrap(ctx context.Context, rep *EpochReport) error {
+	p := m.Pipeline
+	out, err := p.Measure(ctx, StageReprobe, nil)
+	if err != nil {
+		return err
+	}
+	m.ds, m.eligible, m.results = out.Dataset, out.Eligible, out.Campaign.Blocks
+	if !p.SkipClustering {
+		m.roll = (&cluster.Pipeline{Seed: p.Seed, Workers: p.ClusterWorkers, Telemetry: p.Telemetry}).Rolling()
+	}
+	m.vals = make(map[string]valEntry)
+	m.lastHops = make(map[iputil.Block24][]iputil.Addr)
+	rep.All = true
+	rep.Reprobed = len(m.eligible)
+	return nil
+}
+
+// reprobe re-measures the eligible blocks in the source's change set
+// since the previous epoch. It first evicts what the change set makes
+// stale: the changed blocks' cached reprobe responses and every cached
+// validation with a changed member (everything when the delta degraded
+// to All), because their responses may differ this epoch.
+func (m *Monitor) reprobe(ctx context.Context, rep *EpochReport) error {
+	p := m.Pipeline
+	changed, all := m.Source.Changed(rep.Epoch-1, rep.Epoch)
+	rep.All, rep.Changed = all, len(changed)
+	blocks := m.eligible
+	if all {
+		rep.Changed = len(p.Blocks)
+		clear(m.vals)
+		clear(m.lastHops)
+	} else {
+		changedSet := make(map[iputil.Block24]bool, len(changed))
+		for _, b := range changed {
+			changedSet[b] = true
+			delete(m.lastHops, b)
+		}
+		for k, ent := range m.vals {
+			for _, b := range ent.members {
+				if changedSet[b] {
+					delete(m.vals, k)
+					break
+				}
+			}
+		}
+		// Intersect with the eligible list in eligible order, so the
+		// sub-campaign is a strict subsequence of the from-scratch one.
+		blocks = nil
+		for _, b := range m.eligible {
+			if changedSet[b] {
+				blocks = append(blocks, b)
+			}
+		}
+	}
+	rep.Reprobed = len(blocks)
+
+	span := p.Telemetry.StartSpan(StageReprobe)
+	res, err := p.Campaign(StageReprobe, m.ds).Run(ctx, blocks)
+	span.End()
+	for b, br := range res.Blocks {
+		m.results[b] = br
+	}
+	return err
+}
+
 // assemble replays aggregation over the merged per-block results and
 // repairs clustering and validation, producing the epoch's Output.
 func (m *Monitor) assemble(ctx context.Context, rep *EpochReport) (*core.Output, error) {
@@ -240,22 +246,15 @@ func (m *Monitor) assemble(ctx context.Context, rep *EpochReport) (*core.Output,
 	}
 	out.Campaign = &hobbit.Result{Blocks: blocks, Order: m.eligible}
 
-	// Aggregation replay: cheap string grouping over cached results,
-	// and exactly the from-scratch loop including the low-confidence
-	// exclusion — a block whose reprobe exhausted its budget this epoch
-	// drops out of aggregation this epoch.
-	span := reg.StartSpan(core.StageAggregate)
-	interner := aggregate.NewInterner()
-	builder := aggregate.NewBuilder(interner)
-	for _, br := range out.Campaign.HomogeneousBlocks() {
-		if br.LowConfidence() {
-			out.LowConfidence = append(out.LowConfidence, br.Block)
-			continue
-		}
-		builder.Add(br)
+	// Aggregation replay: cheap string grouping over cached results, in
+	// campaign order through the same stage a from-scratch run feeds — a
+	// block whose reprobe exhausted its budget this epoch drops out of
+	// aggregation this epoch.
+	agg := p.NewAggregator(nil)
+	for _, b := range m.eligible {
+		agg.Add(blocks[b])
 	}
-	out.Aggregates = builder.Finish()
-	span.End()
+	agg.Finish(out)
 	if p.SkipClustering {
 		out.Final = out.Aggregates
 		return out, ctx.Err()
@@ -264,7 +263,7 @@ func (m *Monitor) assemble(ctx context.Context, rep *EpochReport) (*core.Output,
 		return out, err
 	}
 
-	span = reg.StartSpan(StageCluster)
+	span := reg.StartSpan(StageCluster)
 	clRes, stats := m.roll.Epoch(out.Aggregates)
 	out.Clustering = clRes
 	rep.Cluster = stats
@@ -276,101 +275,51 @@ func (m *Monitor) assemble(ctx context.Context, rep *EpochReport) (*core.Output,
 		return out, err
 	}
 
-	return out, m.validate(ctx, out, rep, interner)
+	return out, m.validate(ctx, out, rep, agg.Interner())
 }
 
-// validate merges cached and recomputed cluster validations. A cache
-// entry is keyed by cluster identity — ID plus member /24s, because the
-// reprobe pair sampling is keyed by cluster ID — and entries whose
-// members appeared in any change set since computation were already
-// evicted, so a hit is provably what a live revalidation would return.
+// validate runs the validation stage with the monitor's caches as hooks.
+// A cached validation is keyed by cluster identity — ID plus member
+// /24s, because the reprobe pair sampling is keyed by cluster ID — and
+// entries whose members appeared in any change set since computation
+// were already evicted, so a hit is provably what a live revalidation
+// would return. Reprobes consult the cross-epoch response cache first.
 func (m *Monitor) validate(ctx context.Context, out *core.Output, rep *EpochReport, interner *aggregate.Interner) error {
 	p := m.Pipeline
 	reg := p.Telemetry
-	span := reg.StartSpan(StageValidate)
-	defer span.End()
-	m.setStage(StageValidate)
-
 	clusters := out.Clustering.Clusters
 	keys := make([]string, len(clusters))
-	vals := make([]cluster.Validation, len(clusters))
-	done := make([]bool, len(clusters))
-	var misses []int
 	for i, c := range clusters {
 		keys[i] = valKey(c)
-		if ent, ok := m.vals[keys[i]]; ok {
-			vals[i] = ent.v
-			done[i] = true
-			rep.ValReused++
-			continue
-		}
-		misses = append(misses, i)
 	}
-	rp := &reprober{m: p.Measurer(true), ds: m.ds, mon: m}
-	pool := parallel.Pool{Workers: p.ClusterWorkers, Telemetry: reg, Stage: StageValidate}
-	perr := pool.ForEach(ctx, len(misses), func(k int) {
-		i := misses[k]
-		vals[i] = cluster.Validate(clusters[i], rp, p.ValidatePairs, p.Seed)
-		done[i] = true
+	err := p.ValidateClusters(ctx, StageValidate, out, interner, core.ValidateHooks{
+		Cached: func(i int) (cluster.Validation, bool) {
+			ent, ok := m.vals[keys[i]]
+			if ok {
+				rep.ValReused++
+			}
+			return ent.v, ok
+		},
+		Reprober: func(live cluster.Reprober) cluster.Reprober {
+			return &reprober{live: live, mon: m}
+		},
 	})
-	rep.ValRecomputed = len(misses)
+	rep.ValRecomputed = len(clusters) - rep.ValReused
 	reg.Counter("monitor.validations_reused").Add(int64(rep.ValReused))
 	reg.Counter("monitor.validations_recomputed").Add(int64(rep.ValRecomputed))
-
-	// Merge in cluster-ID order and rebuild the cache from this epoch's
-	// validations only, so clusters that dissolved do not accumulate.
-	out.Validations = make(map[int]cluster.Validation, len(clusters))
-	validated := make(map[int]bool)
-	next := make(map[string]valEntry, len(clusters))
-	for i, c := range clusters {
-		if !done[i] {
-			continue
-		}
-		v := vals[i]
-		out.Validations[c.ID] = v
-		next[keys[i]] = valEntry{v: v, members: c.Blocks24()}
-		if v.Passes() {
-			validated[c.ID] = true
-		}
-	}
-	out.Validated = validated
-	if perr != nil {
+	if err != nil {
 		// Cancelled mid-validation: keep the old cache (it stays sound —
 		// eviction already happened against this epoch's change set).
-		return perr
+		return err
+	}
+	// Rebuild the cache from this epoch's validations only, so clusters
+	// that dissolved do not accumulate.
+	next := make(map[string]valEntry, len(clusters))
+	for i, c := range clusters {
+		next[keys[i]] = valEntry{v: out.Validations[c.ID], members: c.Blocks24()}
 	}
 	m.vals = next
-	out.Final = cluster.ApplyValidatedInterned(out.Clustering, validated, interner)
-	reg.Counter("validate.final_blocks").Add(int64(len(out.Final)))
 	return nil
-}
-
-// dropStaleValidations evicts validation-cache entries whose member
-// /24s intersect the epoch's change set (all of them when the delta
-// degraded to All) — their reprobe responses may differ this epoch —
-// and the changed blocks' cached reprobe responses with them.
-func (m *Monitor) dropStaleValidations(changed []iputil.Block24, all bool) {
-	if all {
-		clear(m.vals)
-		clear(m.lastHops)
-		return
-	}
-	if len(changed) == 0 {
-		return
-	}
-	changedSet := make(map[iputil.Block24]bool, len(changed))
-	for _, b := range changed {
-		changedSet[b] = true
-		delete(m.lastHops, b)
-	}
-	for k, ent := range m.vals {
-		for _, b := range ent.members {
-			if changedSet[b] {
-				delete(m.vals, k)
-				break
-			}
-		}
-	}
 }
 
 // valKey is a cluster's validation-cache identity: the ID (the reprobe
@@ -414,22 +363,14 @@ func (m *Monitor) Close() {
 	}
 }
 
-func (m *Monitor) setStage(stage string) {
-	if s, ok := m.Pipeline.Net.(interface{ SetStage(string) }); ok {
-		s.SetStage(stage)
-	}
-}
-
-// reprober adapts the exhaustive measurement strategy to the
-// cluster.Reprober interface, exactly as the from-scratch validation
-// stage does, but consults the monitor's cross-epoch reprobe cache
-// first: a block absent from every change set since its last reprobe
-// answers from the cache (purity makes the bytes identical), so a
-// revalidated cluster only pays live probes for its churned members.
+// reprober consults the monitor's cross-epoch reprobe cache before the
+// live exhaustive reprober: a block absent from every change set since
+// its last reprobe answers from the cache (purity makes the bytes
+// identical), so a revalidated cluster only pays live probes for its
+// churned members.
 type reprober struct {
-	m   *hobbit.Measurer
-	ds  *zmap.Dataset
-	mon *Monitor
+	live cluster.Reprober
+	mon  *Monitor
 
 	mu sync.Mutex
 }
@@ -441,7 +382,7 @@ func (r *reprober) Reprobe(b iputil.Block24) []iputil.Addr {
 	if !ok {
 		// A concurrent miss on the same block measures twice; purity makes
 		// both answers identical, so last-write-wins is safe.
-		lhs = r.m.MeasureBlock(b, r.ds.ActivesBy26(b)).LastHops
+		lhs = r.live.Reprobe(b)
 		r.mu.Lock()
 		r.mon.lastHops[b] = lhs
 		r.mu.Unlock()

@@ -3,6 +3,7 @@ package monitor
 import (
 	"context"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
@@ -132,6 +133,46 @@ func TestMonitorSkipClustering(t *testing.T) {
 		if !reflect.DeepEqual(out.Final, out.Aggregates) {
 			t.Fatalf("epoch %d: Final != Aggregates", rep.Epoch)
 		}
+	}
+}
+
+// TestMonitorCounterParity: the monitor drives the same stage functions
+// as Pipeline.Run, so on the same world a bootstrap plus one epoch must
+// register exactly the census.*, aggregate.*, and validate.* counter
+// names a from-scratch run registers.
+func TestMonitorCounterParity(t *testing.T) {
+	stageCounters := func(reg *telemetry.Registry) []string {
+		var names []string
+		for name := range reg.Snapshot().Counters {
+			for _, stage := range []string{core.StageCensus, core.StageAggregate, core.StageValidate} {
+				if strings.HasPrefix(name, stage+".") {
+					names = append(names, name)
+				}
+			}
+		}
+		sort.Strings(names)
+		return names
+	}
+	w, p := monitorWorld(t, "flap")
+	defer w.SetFaultEpoch(-1)
+	run := *p
+	p.Telemetry = telemetry.NewRegistry()
+	m := &Monitor{Pipeline: p, Source: &WorldSource{W: w}}
+	defer m.Close()
+	if _, err := m.Run(context.Background(), 2); err != nil {
+		t.Fatal(err)
+	}
+	run.Telemetry = telemetry.NewRegistry()
+	out, err := run.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(out.Clustering.Clusters) == 0 {
+		t.Fatal("no clusters: the validate.* names would go unchecked")
+	}
+	got, want := stageCounters(p.Telemetry), stageCounters(run.Telemetry)
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("monitor counters %v\nwant the run's %v", got, want)
 	}
 }
 

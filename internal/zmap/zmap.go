@@ -32,19 +32,6 @@ func NewDataset() *Dataset {
 	return &Dataset{active: make(map[iputil.Block24]*[4]uint64)}
 }
 
-// Scan sweeps every address of the given blocks through the scanner and
-// records responders.
-func Scan(s Scanner, blocks []iputil.Block24) *Dataset {
-	return ScanObserved(s, blocks, nil)
-}
-
-// ScanObserved is Scan with census-load accounting: it records the echo
-// requests sent, the responders found, and the blocks with any activity
-// under "census.…" counters in reg (nil reg keeps the plain behaviour).
-func ScanObserved(s Scanner, blocks []iputil.Block24, reg *telemetry.Registry) *Dataset {
-	return ScanWith(s, blocks, ScanOptions{Workers: 1, Telemetry: reg})
-}
-
 // ScanOptions configures a census sweep.
 type ScanOptions struct {
 	// Workers bounds the sweep's concurrency (0 = GOMAXPROCS, 1 = serial).
@@ -53,11 +40,14 @@ type ScanOptions struct {
 	Telemetry *telemetry.Registry
 }
 
-// ScanWith sweeps the blocks over a worker pool. Each worker fills the
-// bitmap of the blocks it claims into an index-addressed slot; the slots
-// are then merged — and the census counters applied — serially in block
-// order, so the dataset and every counter are byte-identical for any
-// worker count (TestScanWorkersIdentical pins this).
+// ScanWith sweeps the blocks over a worker pool into one materialized
+// dataset. Each worker fills the bitmap of the blocks it claims into an
+// index-addressed slot; the slots are then merged — and the census
+// counters applied — serially in block order, so the dataset and every
+// counter are byte-identical for any worker count
+// (TestScanWorkersIdentical pins this). The pipeline censuses through
+// Stream; ScanWith is the reference the streamed census is checked and
+// benchmarked against.
 func ScanWith(s Scanner, blocks []iputil.Block24, opts ScanOptions) *Dataset {
 	reg := opts.Telemetry
 	scanPings := reg.Counter("census.scan_pings")

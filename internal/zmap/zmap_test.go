@@ -23,7 +23,7 @@ func TestScanRecordsActives(t *testing.T) {
 		blk.Addr(64):  true,
 		blk.Addr(255): true,
 	}
-	d := Scan(s, []iputil.Block24{blk, b24("9.9.9.0")})
+	d := ScanWith(s, []iputil.Block24{blk, b24("9.9.9.0")}, ScanOptions{Workers: 1})
 	if d.ActiveCount(blk) != 4 {
 		t.Fatalf("ActiveCount = %d", d.ActiveCount(blk))
 	}
@@ -57,7 +57,7 @@ func TestActivesBy26(t *testing.T) {
 		blk.Addr(200): true, // /26 #3
 		blk.Addr(201): true, // /26 #3
 	}
-	d := Scan(s, []iputil.Block24{blk})
+	d := ScanWith(s, []iputil.Block24{blk}, ScanOptions{Workers: 1})
 	by := d.ActivesBy26(blk)
 	if len(by[0]) != 1 || len(by[1]) != 1 || len(by[2]) != 1 || len(by[3]) != 2 {
 		t.Errorf("ActivesBy26 = %v", by)
@@ -71,13 +71,13 @@ func TestEligible(t *testing.T) {
 		blk.Addr(5): true, blk.Addr(70): true,
 		blk.Addr(130): true, blk.Addr(131): true,
 	}
-	d := Scan(s, []iputil.Block24{blk})
+	d := ScanWith(s, []iputil.Block24{blk}, ScanOptions{Workers: 1})
 	if d.Eligible(blk, 4) {
 		t.Error("block missing a /26 should not be eligible")
 	}
 	// Cover the fourth /26.
 	s[blk.Addr(200)] = true
-	d = Scan(s, []iputil.Block24{blk})
+	d = ScanWith(s, []iputil.Block24{blk}, ScanOptions{Workers: 1})
 	if !d.Eligible(blk, 4) {
 		t.Error("block with all /26s and 5 actives should be eligible")
 	}
@@ -105,7 +105,7 @@ func TestScanWorld(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := Scan(w, w.Blocks())
+	d := ScanWith(w, w.Blocks(), ScanOptions{Workers: 1})
 	eligible := d.EligibleBlocks(w.Blocks(), 4)
 	if len(eligible) == 0 {
 		t.Fatal("no eligible blocks in world")

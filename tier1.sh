@@ -1,8 +1,10 @@
 #!/bin/sh
 # Tier-1 gate: everything must pass before a change lands.
 # - gofmt must report no files (output fails the gate);
-# - go vet and the repo's own static-analysis suite (cmd/hobbitlint)
-#   are hard gates: determinism, concurrency (goroutine-leak,
+# - go vet (over the root module and the nested perfbench module, which
+#   ./... does not descend into; its copylocks check is the gate against
+#   forked lock state) and the repo's own static-analysis suite
+#   (cmd/hobbitlint) are hard gates: determinism, concurrency (goroutine-leak,
 #   lock-discipline, ctx-propagation), and wire-format (api-compat vs
 #   compat.lock) invariants are machine-checked, not review
 #   conventions, and every //lint:ignore must still be earning its
@@ -26,6 +28,7 @@ set -ex
 
 test -z "$(gofmt -l . | tee /dev/stderr)"
 go vet ./...
+(cd perfbench && go vet ./...)
 go build ./...
 go run ./cmd/hobbitlint ./...
 go test -race -count=1 -shuffle=on ./...
